@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	janus [-o N] [-multi] [-cegar] [-portfolio] [-engine MODE] [-conflicts N]
+//	janus [-o N] [-multi] [-cegar] [-engine MODE] [-conflicts N]
 //	      [-timeout D] [-v] [-progress] [-trace FILE] [-debug-addr ADDR] [file.pla]
 //
 // Without -multi each selected output is synthesized on its own lattice;
@@ -29,9 +29,7 @@ func main() {
 		outIdx    = flag.Int("o", -1, "synthesize only this output index (default: all)")
 		multi     = flag.Bool("multi", false, "realize all outputs on a single lattice (JANUS-MF)")
 		cegar     = flag.Bool("cegar", false, "use the CEGAR LM engine")
-		portfolio = flag.Bool("portfolio", false, "race the primal and dual orientations of each candidate lattice (implies -cegar)")
 		engine    = flag.String("engine", "auto", "LM solver strategy: auto (per-step policy), shared (one assumption-based solver pool), or fresh (per-candidate solvers)")
-		shared    = flag.Bool("shared", false, "deprecated: alias for -engine shared (implies -cegar)")
 		conflicts = flag.Int64("conflicts", 0, "SAT conflict budget per LM call (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 0, "SAT time budget per LM call (0 = unlimited)")
 		verbose   = flag.Bool("v", false, "print bounds and search statistics")
@@ -60,14 +58,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shared {
-		sel = janus.EngineShared
-	}
 
 	opt := janus.Options{}
 	opt.Encode.Limits = janus.SATLimits{MaxConflicts: *conflicts, Timeout: *timeout}
 	opt.Encode.CEGAR = *cegar
-	opt.Portfolio = *portfolio
 	opt.EngineSelect = sel
 	if *progress {
 		opt.Progress = janus.NewProgressWriter(os.Stderr)

@@ -37,7 +37,6 @@ func main() {
 		budget    = flag.Duration("budget", 0, "wall-clock budget per instance for JANUS (0 = unlimited)")
 		cegar     = flag.Bool("cegar", false, "use the CEGAR LM engine for JANUS")
 		engine    = flag.String("engine", "auto", "LM solver strategy for JANUS: auto, shared, or fresh")
-		shared    = flag.Bool("shared", false, "deprecated: alias for -engine shared (implies -cegar)")
 		tracePath = flag.String("trace", "", "write a JSONL span trace of every JANUS run to this file")
 		progress  = flag.Bool("progress", false, "print live progress events of every JANUS run to stderr")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address")
@@ -89,9 +88,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tableii:", err)
 		os.Exit(1)
-	}
-	if *shared {
-		sel = janus.EngineShared
 	}
 
 	fmt.Printf("%-10s %3s %3s %2s | %4s %4s %4s | %-28s | %s\n",
@@ -183,7 +179,7 @@ func main() {
 				reused, stamped, transferred, filtered, pruned)
 		}
 		// The rest of the footer reads the process-wide metrics registry,
-		// the same data /metrics and expvar serve.
+		// the same data /metrics serves.
 		snap := janus.Metrics()
 		rate := func(cache string) string {
 			return report.Rate(snap.Get("janus_memo_"+cache+"_hits"),

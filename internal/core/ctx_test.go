@@ -55,18 +55,3 @@ func TestSynthesizeCtxMidway(t *testing.T) {
 		t.Fatal("mid-run cancellation must still return a verified incumbent")
 	}
 }
-
-// TestSynthesizePortfolio: the racing engine must reproduce the known
-// Fig. 1 minimum through the full dichotomic search.
-func TestSynthesizePortfolio(t *testing.T) {
-	r, err := Synthesize(fig1Cover(), Options{Portfolio: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Size != 8 {
-		t.Fatalf("portfolio size = %d (%v), want 8", r.Size, r.Grid)
-	}
-	if !r.Assignment.Realizes(r.ISOP) {
-		t.Fatal("portfolio result does not realize target")
-	}
-}

@@ -9,8 +9,8 @@ import (
 // The zero value is EngineAuto, which makes the per-step policy the
 // default: fresh per-candidate solvers below the depth threshold, the
 // shared assumption-based pool above it. The two forced modes pin every
-// step to one strategy — EngineShared subsumes the old SharedSolver flag,
-// EngineFresh the pre-pool behavior.
+// step to one strategy — EngineShared the pool, EngineFresh the pre-pool
+// behavior.
 type EngineSelect int
 
 const (
@@ -57,28 +57,20 @@ func ParseEngineSelect(s string) (EngineSelect, error) {
 // DESIGN.md "Engine selection".
 const DefaultEngineThreshold = 24
 
-func (o Options) engineThreshold() int {
-	if o.EngineThreshold <= 0 {
+func (o Options) depthThreshold() int {
+	if o.engineThreshold <= 0 {
 		return DefaultEngineThreshold
 	}
-	return o.EngineThreshold
+	return o.engineThreshold
 }
 
 // engineMode resolves the effective selection mode: the explicit enum
-// wins; the deprecated SharedSolver flag and a caller-provided pool both
-// mean EngineShared; Portfolio forces fresh engines because its racing
-// orientations need independent solvers.
+// wins, and a caller-provided pool means EngineShared.
 func (o Options) engineMode() EngineSelect {
-	if o.Portfolio {
-		return EngineFresh
-	}
-	if o.EngineSelect != EngineAuto {
-		return o.EngineSelect
-	}
-	if o.SharedSolver || o.Encode.Shared != nil {
+	if o.EngineSelect == EngineAuto && o.Encode.Shared != nil {
 		return EngineShared
 	}
-	return EngineAuto
+	return o.EngineSelect
 }
 
 // predictDepth scores how much LM-solve work the search still expects

@@ -37,20 +37,15 @@ func TestEngineModeResolution(t *testing.T) {
 	if got := (Options{}).engineMode(); got != EngineAuto {
 		t.Fatalf("zero options resolve to %v, want auto", got)
 	}
-	if got := (Options{SharedSolver: true}).engineMode(); got != EngineShared {
-		t.Fatalf("deprecated SharedSolver resolves to %v, want shared", got)
-	}
 	pool := encode.NewSharedPool()
 	opt := Options{}
 	opt.Encode.Shared = pool
 	if got := opt.engineMode(); got != EngineShared {
 		t.Fatalf("caller-provided pool resolves to %v, want shared", got)
 	}
-	if got := (Options{EngineSelect: EngineFresh, SharedSolver: true}).engineMode(); got != EngineFresh {
-		t.Fatalf("explicit enum must beat the deprecated flag: %v", got)
-	}
-	if got := (Options{Portfolio: true, EngineSelect: EngineShared}).engineMode(); got != EngineFresh {
-		t.Fatalf("portfolio needs independent solvers, got %v", got)
+	opt.EngineSelect = EngineFresh
+	if got := opt.engineMode(); got != EngineFresh {
+		t.Fatalf("explicit enum must beat a caller-provided pool: %v", got)
 	}
 }
 
@@ -127,13 +122,13 @@ func TestForcedEngineResults(t *testing.T) {
 }
 
 // TestAutoThresholdOverride: a threshold of 1 makes every step shared, a
-// huge one keeps every step fresh — the knob must actually steer the
-// policy.
+// huge one keeps every step fresh — the threshold must actually steer
+// the policy.
 func TestAutoThresholdOverride(t *testing.T) {
 	f := cube.NewCover(4,
 		cube.FromLiterals([]int{0, 1, 2, 3}, nil),
 		cube.FromLiterals(nil, []int{0, 1, 2, 3}))
-	low, err := Synthesize(f, Options{EngineThreshold: 1})
+	low, err := Synthesize(f, Options{engineThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +136,7 @@ func TestAutoThresholdOverride(t *testing.T) {
 		t.Fatalf("threshold 1: %d shared / %d fresh steps, want all shared",
 			low.SharedSteps, low.FreshSteps)
 	}
-	high, err := Synthesize(f, Options{EngineThreshold: 1 << 20})
+	high, err := Synthesize(f, Options{engineThreshold: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,35 +71,13 @@ type Options struct {
 	// far is returned. Nil means no cancellation (context.Background
 	// semantics without the import on every call site).
 	Ctx context.Context
-	// Portfolio races the primal and dual CEGAR orientations of every
-	// candidate lattice concurrently, taking the first definitive answer
-	// and cancelling the loser (the ROADMAP's portfolio solving item).
-	// Implies the CEGAR engine for LM solves.
-	Portfolio bool
 	// EngineSelect picks the LM solver strategy per dichotomic step. The
 	// default, EngineAuto, predicts each step's remaining search depth
 	// from the bounds gap, the cover breadth, and the LM problems solved
 	// so far, and chooses fresh per-candidate engines below
-	// EngineThreshold and the shared assumption-based pool at or above
-	// it. EngineShared and EngineFresh pin every step. Ignored under
-	// Portfolio, whose racing orientations need independent solvers.
+	// DefaultEngineThreshold and the shared assumption-based pool at or
+	// above it. EngineShared and EngineFresh pin every step.
 	EngineSelect EngineSelect
-	// EngineThreshold tunes the auto policy's fresh/shared crossover
-	// (zero means DefaultEngineThreshold).
-	EngineThreshold int
-	// SharedSolver keeps one assumption-based SAT solver alive per
-	// (cover, orientation) for the whole search and shares it across
-	// every candidate grid — of one dichotomic midpoint and of adjacent
-	// midpoints where the shapes recur: skeletons are guarded by
-	// activation literals, entry clauses are stamped from path templates,
-	// and CEGAR counterexample entries transfer between candidates
-	// (see encode.SharedPool). Implies the CEGAR engine; ignored under
-	// Portfolio, whose racing orientations need independent solvers.
-	//
-	// Deprecated: SharedSolver is the pre-policy spelling of
-	// EngineSelect = EngineShared and is kept for compatibility; the auto
-	// policy subsumes it as the default.
-	SharedSolver bool
 	// Deadline is the absolute form of Budget; set automatically, and
 	// inherited by DS/MF sub-syntheses so nested searches share the same
 	// wall-clock budget.
@@ -130,6 +108,9 @@ type Options struct {
 	// events carry the Sub flag and they do not feed the top-level
 	// first-mapping histogram.
 	sub bool
+	// engineThreshold overrides DefaultEngineThreshold so tests can pin
+	// where the auto policy flips; zero means the default.
+	engineThreshold int
 }
 
 func (o Options) expired() bool {
@@ -181,7 +162,7 @@ type Result struct {
 	// CegarIters totals CEGAR refinement iterations across LM solves.
 	CegarIters int64
 	// SharedReused counts LM solves answered on an already-stamped grid
-	// skeleton of the shared solver (Options.SharedSolver only).
+	// skeleton of the shared solver.
 	SharedReused int64
 	// StampedClauses totals the clauses stamped directly into shared
 	// solvers; the gap to ClausesAdded under a fresh-solver run is the
@@ -225,6 +206,10 @@ type Result struct {
 	Elapsed time.Duration
 	// ISOP and DualISOP are the minimized forms the search operated on.
 	ISOP, DualISOP cube.Cover
+	// warmTrail is the length of the counterexample trail handed to a
+	// shared pool opened mid-search (zero when none opened), so tests
+	// can check the warm path does real work.
+	warmTrail int
 }
 
 // ErrUnsupported is returned for targets outside the engine's limits.
@@ -243,9 +228,6 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		// Thread the context into every SAT call so cancellation reaches
 		// solves already in flight, not just the gaps between them.
 		opt.Encode.Limits.Interrupt = opt.Ctx.Done()
-	}
-	if opt.Portfolio {
-		opt.Encode.Portfolio = true
 	}
 	// Engine policy: resolve the selection mode once; EngineShared gets
 	// its pool up front so DS and MF sub-syntheses inherit it through
@@ -393,7 +375,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		depth := predictDepth(ub-lb, len(isop.Cubes)+len(dual.Cubes), st.solved)
 		useShared := engineMode == EngineShared
 		if engineMode == EngineAuto {
-			useShared = pool != nil || depth >= opt.engineThreshold()
+			useShared = pool != nil || depth >= opt.depthThreshold()
 		}
 		stepOpt := opt
 		if useShared {
@@ -403,6 +385,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 				// so the flip doesn't re-derive known entries.
 				pool = encode.NewSharedPool()
 				pool.Warm(isop, dual, opt.Encode, st.cexInputs)
+				res.warmTrail = len(st.cexInputs)
 			}
 			stepOpt.Encode.Shared = pool
 		} else {

@@ -70,7 +70,7 @@ type MultiResult struct {
 	// ClausesAdded / ClausesRebuilt / CegarIters aggregate the
 	// incremental-solving counters over every LM call, as in Result;
 	// SharedReused / StampedClauses / TransferredCEX do the same for the
-	// shared-solver counters (Options.SharedSolver).
+	// shared-solver counters.
 	ClausesAdded   int64
 	ClausesRebuilt int64
 	CegarIters     int64

@@ -7,34 +7,30 @@ import (
 	"github.com/lattice-tools/janus/internal/benchdata"
 )
 
-// TestProfileClpl00 exists to profile a single mid-size synthesis run:
+// BenchmarkProfileClpl00 exists to profile a single mid-size synthesis
+// run:
 //
-//	go test -run TestProfileClpl00 -cpuprofile cpu.out ./internal/core
-func TestProfileClpl00(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiling helper")
-	}
-	f, _ := benchdata.Lookup("clpl_00").Function()
-	r, err := Synthesize(f, Options{Budget: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("clpl_00: %v size=%d lb=%d nub=%d lm=%d elapsed=%v",
-		r.Grid, r.Size, r.LB, r.NUB, r.LMSolved, r.Elapsed)
+//	go test -run '^$' -bench BenchmarkProfileClpl00 -benchtime 1x -cpuprofile cpu.out ./internal/core
+func BenchmarkProfileClpl00(b *testing.B) {
+	benchClpl00(b, false)
 }
 
-// TestProfileClpl00Cegar mirrors TestProfileClpl00 with the CEGAR engine.
-func TestProfileClpl00Cegar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiling helper")
-	}
+// BenchmarkProfileClpl00Cegar mirrors BenchmarkProfileClpl00 with the
+// CEGAR engine.
+func BenchmarkProfileClpl00Cegar(b *testing.B) {
+	benchClpl00(b, true)
+}
+
+func benchClpl00(b *testing.B, cegar bool) {
 	f, _ := benchdata.Lookup("clpl_00").Function()
 	opt := Options{Budget: 30 * time.Second}
-	opt.Encode.CEGAR = true
-	r, err := Synthesize(f, opt)
-	if err != nil {
-		t.Fatal(err)
+	opt.Encode.CEGAR = cegar
+	for i := 0; i < b.N; i++ {
+		r, err := Synthesize(f, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Logf("clpl_00 cegar=%v: %v size=%d lb=%d nub=%d lm=%d elapsed=%v",
+			cegar, r.Grid, r.Size, r.LB, r.NUB, r.LMSolved, r.Elapsed)
 	}
-	t.Logf("clpl_00 cegar: %v size=%d lb=%d nub=%d lm=%d elapsed=%v",
-		r.Grid, r.Size, r.LB, r.NUB, r.LMSolved, r.Elapsed)
 }

@@ -30,6 +30,21 @@ func randomRawCover(rng *rand.Rand, n, k int) cube.Cover {
 	return raw
 }
 
+// cegarReference is the equivalence tests' reference answer: the
+// per-candidate CEGAR engine on every step, so the reference never
+// touches the shared pool the tests check.
+func cegarReference(t *testing.T, trial int, raw cube.Cover) Result {
+	t.Helper()
+	r, err := Synthesize(raw, Options{EngineSelect: EngineFresh, Encode: encode.Options{CEGAR: true}})
+	if err != nil {
+		t.Fatalf("trial %d (cegar): %v", trial, err)
+	}
+	if r.SharedSteps != 0 {
+		t.Fatalf("trial %d: reference ran %d shared steps", trial, r.SharedSteps)
+	}
+	return r
+}
+
 // TestSharedSearchMatchesCegar is the equivalence property test: on ≥200
 // random covers of up to 6 inputs, the dichotomic search over the shared
 // assumption-based solver must return the same minimum lattice size as
@@ -51,11 +66,8 @@ func TestSharedSearchMatchesCegar(t *testing.T) {
 			continue
 		}
 		checked++
-		base, err := Synthesize(raw, Options{Encode: encode.Options{CEGAR: true}})
-		if err != nil {
-			t.Fatalf("trial %d (cegar): %v", trial, err)
-		}
-		shared, err := Synthesize(raw, Options{SharedSolver: true})
+		base := cegarReference(t, trial, raw)
+		shared, err := Synthesize(raw, Options{EngineSelect: EngineShared})
 		if err != nil {
 			t.Fatalf("trial %d (shared): %v", trial, err)
 		}
@@ -83,11 +95,11 @@ func TestSharedSearchWorkers(t *testing.T) {
 		if len(raw.Cubes) == 0 {
 			continue
 		}
-		seq, err := Synthesize(raw, Options{SharedSolver: true})
+		seq, err := Synthesize(raw, Options{EngineSelect: EngineShared})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Synthesize(raw, Options{SharedSolver: true, Workers: 4})
+		par, err := Synthesize(raw, Options{EngineSelect: EngineShared, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +121,7 @@ func TestSharedSearchWorkers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			f := randomRawCover(rand.New(rand.NewSource(88)), 4, 3)
-			r, err := Synthesize(f, Options{SharedSolver: true, Workers: 3})
+			r, err := Synthesize(f, Options{EngineSelect: EngineShared, Workers: 3})
 			errs[i], sizes[i] = err, r.Size
 		}(i)
 	}
@@ -131,7 +143,7 @@ func TestSharedCountersThreaded(t *testing.T) {
 	f := cube.NewCover(4,
 		cube.FromLiterals([]int{0, 1, 2, 3}, nil),
 		cube.FromLiterals(nil, []int{0, 1, 2, 3}))
-	r, err := Synthesize(f, Options{SharedSolver: true})
+	r, err := Synthesize(f, Options{EngineSelect: EngineShared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +181,7 @@ func TestSharedFilteredSearchMatchesCegar(t *testing.T) {
 			continue
 		}
 		checked++
-		base, err := Synthesize(raw, Options{Encode: encode.Options{CEGAR: true}})
-		if err != nil {
-			t.Fatalf("trial %d (cegar): %v", trial, err)
-		}
+		base := cegarReference(t, trial, raw)
 		opt := Options{EngineSelect: EngineShared}
 		opt.Encode.CEXTransferLimit = 1 // stamp at most one missing entry per reuse
 		opt.Encode.SharedLearntLBD = 1  // prune all but the glue clauses
@@ -199,16 +208,18 @@ func TestSharedFilteredSearchMatchesCegar(t *testing.T) {
 // first step's depth score, so the first dichotomic step runs fresh and
 // the depth growth from its solves flips later steps to a pool — which
 // is then warmed from the fresh steps' counterexample trail
-// (SharedPool.Warm). Results must match the fresh engine exactly, and
-// the sweep must actually produce mixed-engine runs for the flip path
-// to count as exercised.
+// (SharedPool.Warm). The auto side runs CEGAR so its fresh steps report
+// counterexamples; monolithic steps report none and would leave the
+// trail empty. Results must match the fresh engine exactly, and the
+// sweep must actually warm a pool with a non-empty trail for the flip
+// path to count as exercised.
 func TestWarmedMixedSearchMatchesCegar(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	trials := 80
 	if testing.Short() {
 		trials = 20
 	}
-	checked, mixed := 0, 0
+	checked, warmed := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		n := 3 + rng.Intn(4) // 3..6 inputs
 		raw := randomRawCover(rng, n, 2+rng.Intn(3))
@@ -216,17 +227,15 @@ func TestWarmedMixedSearchMatchesCegar(t *testing.T) {
 			continue
 		}
 		checked++
-		base, err := Synthesize(raw, Options{Encode: encode.Options{CEGAR: true}})
-		if err != nil {
-			t.Fatalf("trial %d (cegar): %v", trial, err)
-		}
+		base := cegarReference(t, trial, raw)
 		// One depth unit above the first step's score: step one stays
 		// fresh, and every LM solve it performs adds 4 to the score, so
 		// any second step flips shared and triggers the mid-search warm.
 		gap := base.NUB - base.LB
 		prods := len(base.ISOP.Cubes) + len(base.DualISOP.Cubes)
 		opt := Options{EngineSelect: EngineAuto,
-			EngineThreshold: predictDepth(gap, prods, 0) + 1}
+			engineThreshold: predictDepth(gap, prods, 0) + 1}
+		opt.Encode.CEGAR = true
 		auto, err := Synthesize(raw, opt)
 		if err != nil {
 			t.Fatalf("trial %d (mixed auto): %v", trial, err)
@@ -238,14 +247,14 @@ func TestWarmedMixedSearchMatchesCegar(t *testing.T) {
 		if auto.Assignment == nil || !auto.Assignment.Realizes(auto.ISOP) {
 			t.Fatalf("trial %d: mixed answer unverified", trial)
 		}
-		if auto.Engine == "mixed" {
-			mixed++
+		if auto.Engine == "mixed" && auto.warmTrail > 0 {
+			warmed++
 		}
 	}
 	if checked < trials*9/10 {
 		t.Fatalf("only %d/%d trials exercised", checked, trials)
 	}
-	if mixed == 0 {
-		t.Fatal("no trial mixed engines; the mid-search warm path was never exercised")
+	if warmed == 0 {
+		t.Fatal("no trial warmed a mid-search pool with a non-empty trail; the warm path was never exercised")
 	}
 }

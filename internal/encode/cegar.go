@@ -88,10 +88,6 @@ func SolveLMCegar(target, targetDual cube.Cover, g lattice.Grid, opt Options) (R
 		deadline = time.Now().Add(opt.Limits.Timeout)
 	}
 
-	if opt.Portfolio && len(attempts) == 2 {
-		return racePortfolio(attempts, target, targetTab, g, opt, deadline)
-	}
-
 	var res Result
 	var inputs []uint64 // CEXInputs merged across both orientation attempts
 	sawUnknown := false

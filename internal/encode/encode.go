@@ -70,23 +70,12 @@ type Options struct {
 	// CEGAR switches SolveLM to the counterexample-guided engine, which
 	// materializes truth-table entries lazily (see SolveLMCegar).
 	CEGAR bool
-	// Portfolio races the primal and dual CEGAR orientations of a
-	// candidate concurrently and cancels the loser as soon as either
-	// finds a satisfying assignment (a per-orientation refutation is not
-	// definitive — the heuristic degree constraints are approximate — so
-	// non-Sat verdicts wait for both sides, exactly like the sequential
-	// order does). Implies the CEGAR engine. The ROADMAP calls this
-	// portfolio solving; it replaces the sequential sparser-first order
-	// when the sparser orientation is the slower one.
-	Portfolio bool
 	// Shared, when non-nil, makes the CEGAR engine solve every candidate
 	// grid on one persistent assumption-based solver per (cover,
 	// orientation) drawn from this pool, instead of a fresh solver per
 	// candidate: skeletons are guarded by activation literals, entry
 	// clauses are stamped from path templates, and counterexample entries
-	// transfer between candidates (see SharedPool). Implies CEGAR; ignored
-	// under Portfolio, whose two racing goroutines need independent
-	// solvers.
+	// transfer between candidates (see SharedPool). Implies CEGAR.
 	Shared *SharedPool
 	// CEXTransferLimit caps how many already-known counterexample entries
 	// the shared engine transfers into a grid skeleton per solve, most
@@ -664,7 +653,7 @@ func SolveLM(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result
 	if target.N > MaxInputs {
 		return Result{}, ErrTooManyInputs
 	}
-	if opt.CEGAR || opt.Portfolio || opt.Shared != nil {
+	if opt.CEGAR || opt.Shared != nil {
 		sub := opt
 		sub.CEGAR = false
 		return SolveLMCegar(target, targetDual, g, sub)

@@ -109,7 +109,7 @@ var (
 )
 
 // The cache counters are exposed through the process-wide metrics
-// registry (janus_memo_*), so /metrics, expvar, and the cmd footers read
+// registry (janus_memo_*), so /metrics and the cmd footers read
 // hit rates from one place instead of re-threading Snapshot by hand.
 // They are function-backed gauges, not counters, because Reset may send
 // them back to zero.

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +11,6 @@ import (
 //
 //	/metrics       JSON snapshot of the registry
 //	/metrics/prom  the same registry in Prometheus text format
-//	/debug/vars    expvar (includes the Default registry as janus_metrics)
 //	/debug/pprof/  the standard pprof profiles
 //
 // It returns the bound listener (addr may be ":0") so callers can report
@@ -46,7 +44,6 @@ func DebugHandler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", PromContentType)
 		WritePrometheus(w, reg) //nolint:errcheck // best-effort debug output
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"expvar"
 	"sort"
 	"strings"
 	"sync"
@@ -262,7 +261,7 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, JSON-ready
-// (this is what /metrics and expvar serve). Function-backed gauges land
+// (this is what /metrics serves). Function-backed gauges land
 // in Gauges next to the explicit ones.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
@@ -325,12 +324,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[n] = hs
 	}
 	return s
-}
-
-// The Default registry is published to expvar under "janus_metrics", so
-// any /debug/vars endpoint (ours or the application's own) includes it.
-func init() {
-	expvar.Publish("janus_metrics", expvar.Func(func() any {
-		return Default.Snapshot()
-	}))
 }

@@ -152,13 +152,6 @@ func TestServeDebug(t *testing.T) {
 	if snap.Get("janus_test_hits_total") != 3 {
 		t.Fatalf("/metrics snapshot = %+v", snap)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
-		t.Fatalf("/debug/vars: %v", err)
-	}
-	if _, ok := vars["janus_metrics"]; !ok {
-		t.Fatal("/debug/vars missing janus_metrics")
-	}
 	if len(get("/debug/pprof/cmdline")) == 0 {
 		t.Fatal("/debug/pprof/cmdline empty")
 	}

@@ -42,9 +42,9 @@ type BatchFunction struct {
 	Output int    `json:"output,omitempty"`
 }
 
-// BatchRequest is the POST /v1/synthesize/batch payload. The synthesis
-// knobs (engine, budgets) apply to the batch as a whole — one batch is
-// one job with one deadline.
+// BatchRequest is the POST /v1/synthesize/batch payload. The budgets
+// apply to the batch as a whole — one batch is one job with one
+// deadline.
 type BatchRequest struct {
 	// Functions lists the targets. Exactly one of Functions / PLA must
 	// be set.
@@ -56,13 +56,16 @@ type BatchRequest struct {
 	// (JANUS-MF's DS phase); nil means true. It is part of the batch
 	// identity: reduced and unreduced batches are different answers.
 	Reduce *bool `json:"reduce,omitempty"`
+	// CEGAR, Portfolio and Engine are ignored, as on Request.
+	//
+	// Deprecated: removed in the next release.
+	CEGAR     bool   `json:"cegar,omitempty"`
+	Portfolio bool   `json:"portfolio,omitempty"`
+	Engine    string `json:"engine,omitempty"`
 	// The remaining knobs mirror Request and apply to every function.
-	CEGAR        bool   `json:"cegar,omitempty"`
-	Portfolio    bool   `json:"portfolio,omitempty"`
-	Engine       string `json:"engine,omitempty"`
-	MaxConflicts int64  `json:"max_conflicts,omitempty"`
-	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
-	Async        bool   `json:"async,omitempty"`
+	MaxConflicts int64 `json:"max_conflicts,omitempty"`
+	TimeoutMS    int64 `json:"timeout_ms,omitempty"`
+	Async        bool  `json:"async,omitempty"`
 }
 
 // BatchResultJSON is the wire form of a finished batch: the packed
@@ -141,7 +144,6 @@ func parseBatch(req BatchRequest) (*parsedBatch, error) {
 	for i, fn := range fns {
 		p, err := parseRequest(Request{
 			PLA: fn.PLA, Output: fn.Output,
-			CEGAR: req.CEGAR, Portfolio: req.Portfolio, Engine: req.Engine,
 			MaxConflicts: req.MaxConflicts, TimeoutMS: req.TimeoutMS,
 		})
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // Request is the POST /v1/synthesize payload: a single-output target in
-// PLA text plus the knobs that change what answer is acceptable. Fields
+// PLA text plus the budgets that bound the search. Fields
 // that only tune how fast an answer arrives (worker counts) are not part
 // of the request on purpose — they are server policy.
 type Request struct {
@@ -26,17 +26,14 @@ type Request struct {
 	PLA string `json:"pla"`
 	// Output selects which PLA output to synthesize (default 0).
 	Output int `json:"output,omitempty"`
-	// CEGAR selects the incremental counterexample-guided LM engine.
-	CEGAR bool `json:"cegar,omitempty"`
-	// Portfolio races the primal and dual orientations of every candidate
-	// lattice (implies CEGAR).
-	Portfolio bool `json:"portfolio,omitempty"`
-	// Engine picks the LM solver strategy: "auto" (or empty, the default)
-	// lets the per-step policy choose, "shared" forces the shared
-	// assumption-based solver pool, "fresh" forces per-candidate solvers.
-	// It is part of the answer identity only when forced: under a conflict
-	// budget the engines can settle on different lattices.
-	Engine string `json:"engine,omitempty"`
+	// CEGAR, Portfolio and Engine are ignored: the server always runs
+	// the default engine configuration. They are still decoded so old
+	// clients do not get 400s from the strict decoder.
+	//
+	// Deprecated: removed in the next release.
+	CEGAR     bool   `json:"cegar,omitempty"`
+	Portfolio bool   `json:"portfolio,omitempty"`
+	Engine    string `json:"engine,omitempty"`
 	// MaxConflicts bounds each LM SAT call (0 = unlimited).
 	MaxConflicts int64 `json:"max_conflicts,omitempty"`
 	// TimeoutMS bounds the whole request, queue wait included. Zero uses
@@ -113,16 +110,14 @@ const (
 
 // parsedRequest is a validated Request: the selected cover, its input
 // names for rendering, and the canonical cache/coalescing keys. fnKey
-// identifies the budget-free question (function + answer-shaping
-// options); key adds the budget fields and is the exact coalescing and
-// cache-store identity.
+// identifies the budget-free question (the function); key adds the
+// budget fields and is the exact coalescing and cache-store identity.
 type parsedRequest struct {
-	req    Request
-	cover  cube.Cover
-	names  []string
-	engine core.EngineSelect
-	fnKey  string
-	key    string
+	req   Request
+	cover cube.Cover
+	names []string
+	fnKey string
+	key   string
 }
 
 // FnKeyOf validates a request and returns its budget-free canonical
@@ -158,30 +153,24 @@ func parseRequest(req Request) (*parsedRequest, error) {
 	if req.MaxConflicts < 0 || req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("negative budget")
 	}
-	engine, err := core.ParseEngineSelect(req.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %q (want auto, shared, or fresh)", req.Engine)
-	}
-	fnKey := canonicalFnKey(cover, req, engine)
+	fnKey := canonicalFnKey(cover)
 	return &parsedRequest{
-		req:    req,
-		cover:  cover,
-		names:  f.InputNames,
-		engine: engine,
-		fnKey:  fnKey,
-		key:    canonicalKey(fnKey, req),
+		req:   req,
+		cover: cover,
+		names: f.InputNames,
+		fnKey: fnKey,
+		key:   canonicalKey(fnKey, req),
 	}, nil
 }
 
 // canonicalFnKey builds the budget-free part of a request's identity: the
-// target function in canonical cube order plus the options that change
-// which answer is acceptable, but none of the budget fields. Two PLA
-// texts that spell the same cover (cube order, whitespace, comments,
-// other outputs, repeated cubes) map to the same fnKey. Cubes are
-// deduplicated after sorting: a cover with a repeated cube denotes the
-// same function, so it must not hash differently — before this, the
-// redundant spelling missed both coalescing and the result cache.
-func canonicalFnKey(f cube.Cover, req Request, engine core.EngineSelect) string {
+// target function in canonical cube order. Two PLA texts that spell the
+// same cover (cube order, whitespace, comments, other outputs, repeated
+// cubes) map to the same fnKey. Cubes are deduplicated after sorting: a
+// cover with a repeated cube denotes the same function, so it must not
+// hash differently — before this, the redundant spelling missed both
+// coalescing and the result cache.
+func canonicalFnKey(f cube.Cover) string {
 	cubes := append([]cube.Cube(nil), f.Cubes...)
 	sort.Slice(cubes, func(i, j int) bool {
 		if cubes[i].Pos != cubes[j].Pos {
@@ -204,24 +193,10 @@ func canonicalFnKey(f cube.Cover, req Request, engine core.EngineSelect) string 
 		binary.LittleEndian.PutUint64(b[:], c.Neg)
 		h.Write(b[:])
 	}
-	var opts byte
-	if req.CEGAR {
-		opts |= 1
-	}
-	if req.Portfolio {
-		opts |= 2
-	}
-	// A forced engine is part of the identity: under a conflict budget the
-	// shared and fresh engines may settle on different (equally verified)
-	// lattices. EngineAuto contributes nothing, so pre-existing cache keys
-	// stay valid.
-	switch engine {
-	case core.EngineShared:
-		opts |= 4
-	case core.EngineFresh:
-		opts |= 8
-	}
-	h.Write([]byte{opts})
+	// The options byte once carried per-request engine choices; it stays,
+	// always zero, so keys and persisted caches from earlier releases
+	// remain valid.
+	h.Write([]byte{0})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -252,13 +227,11 @@ func maxConflictsNorm(mc int64) int64 {
 	return mc
 }
 
-// coreOptions translates the request knobs into synthesis options.
+// coreOptions translates the request knobs into synthesis options: the
+// default engine configuration under the request's conflict budget.
 // Ctx and Workers are filled in by the worker.
 func (p *parsedRequest) coreOptions() core.Options {
 	var opt core.Options
-	opt.Encode.CEGAR = p.req.CEGAR
-	opt.Portfolio = p.req.Portfolio
-	opt.EngineSelect = p.engine
 	opt.Encode.Limits = sat.Limits{MaxConflicts: p.req.MaxConflicts}
 	return opt
 }

@@ -2,10 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,48 +65,48 @@ func TestCanonicalization(t *testing.T) {
 	if c.key == a.key {
 		t.Fatal("different budgets must not share a key")
 	}
-	d, err := parseRequest(Request{PLA: fig1PLA, Portfolio: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.key == a.key {
-		t.Fatal("different engines must not share a key")
-	}
 }
 
-// TestEngineRequestField: "auto" and "" are the default and keep the
-// pre-existing cache identity; a forced engine is a different question
-// (budgeted answers may differ), and the two forced modes differ from
-// each other; junk is rejected before it reaches the queue.
+// TestEngineRequestField: the deprecated cegar/portfolio/engine fields
+// still decode under the strict decoders (old clients get no 400s), and
+// whatever they say — junk included — changes neither the cache
+// identity nor the synthesis options.
 func TestEngineRequestField(t *testing.T) {
 	base, err := parseRequest(Request{PLA: fig1PLA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := parseRequest(Request{PLA: fig1PLA, Engine: "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.key != base.key {
-		t.Fatal(`engine "auto" must keep the default cache key`)
-	}
-	shared, err := parseRequest(Request{PLA: fig1PLA, Engine: "shared"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := parseRequest(Request{PLA: fig1PLA, Engine: "fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.key == base.key || fresh.key == base.key || shared.key == fresh.key {
-		t.Fatal("forced engines must have distinct cache identities")
-	}
-	if shared.coreOptions().EngineSelect != core.EngineShared ||
-		fresh.coreOptions().EngineSelect != core.EngineFresh {
-		t.Fatal("engine field must reach core options")
-	}
-	if _, err := parseRequest(Request{PLA: fig1PLA, Engine: "turbo"}); err == nil {
-		t.Fatal("unknown engine must be rejected")
+	for _, fields := range []string{
+		`"engine":"auto"`, `"engine":"shared"`, `"engine":"fresh"`, `"engine":"turbo"`,
+		`"cegar":true`, `"portfolio":true`, `"cegar":true,"portfolio":true,"engine":"shared"`,
+	} {
+		var req Request
+		dec := json.NewDecoder(strings.NewReader(`{"pla":` + strconv.Quote(fig1PLA) + `,` + fields + `}`))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			t.Fatalf("%s: %v", fields, err)
+		}
+		p, err := parseRequest(req)
+		if err != nil {
+			t.Fatalf("%s: %v", fields, err)
+		}
+		if p.key != base.key || !reflect.DeepEqual(p.coreOptions(), base.coreOptions()) {
+			t.Fatalf("%s: deprecated fields must be ignored", fields)
+		}
+
+		var breq BatchRequest
+		dec = json.NewDecoder(strings.NewReader(`{"functions":[{"pla":` + strconv.Quote(fig1PLA) + `}],` + fields + `}`))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&breq); err != nil {
+			t.Fatalf("batch %s: %v", fields, err)
+		}
+		pb, err := parseBatch(breq)
+		if err != nil {
+			t.Fatalf("batch %s: %v", fields, err)
+		}
+		if pb.fns[0].key != base.key || !reflect.DeepEqual(pb.fns[0].coreOptions(), base.coreOptions()) {
+			t.Fatalf("batch %s: deprecated fields must be ignored", fields)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 
-	resp, err := c.Synthesize(ctx, Request{PLA: fig1PLA, CEGAR: true})
+	resp, err := c.Synthesize(ctx, Request{PLA: fig1PLA})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,8 +204,7 @@ func NewFront(cfg FrontConfig) (*Front, error) { return front.New(cfg) }
 func NewTracer(w io.Writer) *Tracer { return obsv.NewTracer(w) }
 
 // Metrics snapshots the process-wide registry. All synthesis layers
-// publish here (janus_core_*, janus_encode_*, janus_sat_*, janus_memo_*);
-// the same data is exported through expvar as "janus_metrics".
+// publish here (janus_core_*, janus_encode_*, janus_sat_*, janus_memo_*).
 func Metrics() MetricsSnapshot { return obsv.Default.Snapshot() }
 
 // MetricsPromContentType is the Content-Type of the Prometheus text
@@ -238,7 +237,8 @@ func ContextWithTraceContext(ctx context.Context, tc TraceContext) context.Conte
 }
 
 // ServeDebug starts a background HTTP listener exposing /metrics,
-// /debug/vars, and /debug/pprof for live inspection of a long synthesis.
+// /metrics/prom, and /debug/pprof for live inspection of a long
+// synthesis.
 // It returns the bound listener; close it to stop serving.
 func ServeDebug(addr string) (net.Listener, error) {
 	return obsv.ServeDebug(addr, obsv.Default)
