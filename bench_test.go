@@ -10,7 +10,10 @@ package janus
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/lattice-tools/janus/internal/benchdata"
 	"github.com/lattice-tools/janus/internal/bounds"
@@ -439,10 +442,14 @@ func BenchmarkAblationBounds(b *testing.B) {
 
 // --- Substrates ---------------------------------------------------------
 
-// BenchmarkSATSolver exercises the CDCL core on pigeonhole instances.
+// BenchmarkSATSolver exercises the CDCL core on pigeonhole instances and
+// on one LM formulation of a Table II row, reporting the solver's own
+// rates over the Solve calls alone: propagations and conflicts per second,
+// and heap allocations per conflict.
 func BenchmarkSATSolver(b *testing.B) {
 	for _, holes := range []int{6, 7, 8} {
 		b.Run(fmt.Sprintf("php-%d", holes), func(b *testing.B) {
+			var r satRates
 			for i := 0; i < b.N; i++ {
 				s := sat.New((holes + 1) * holes)
 				v := func(p, h int) int { return p*holes + h }
@@ -460,11 +467,81 @@ func BenchmarkSATSolver(b *testing.B) {
 						}
 					}
 				}
-				if st := s.Solve(sat.Limits{}); st != sat.Unsat {
+				if st := r.solve(s, sat.Limits{}); st != sat.Unsat {
 					b.Fatalf("PHP must be UNSAT, got %v", st)
 				}
 			}
+			r.report(b)
 		})
+	}
+	// One LM call as the tableii workload makes it: a grid misex1_07's
+	// search probes, formulated by encode.BuildCNF and solved under the
+	// workload's 20k-conflict cap, which this probe exhausts.
+	b.Run("lm-misex1_07", func(b *testing.B) {
+		newSolver := lmProbeSolver(b, "misex1_07", "4x3")
+		b.ResetTimer()
+		var r satRates
+		for i := 0; i < b.N; i++ {
+			r.solve(newSolver(), sat.Limits{MaxConflicts: 20000})
+		}
+		r.report(b)
+	})
+}
+
+// lmProbeSolver synthesizes the named Table II row at 20k conflicts per
+// LM call and returns a constructor of fresh solvers over the LM CNF of
+// grid, which must be one of the row's Result.GridsProbed.
+func lmProbeSolver(b *testing.B, name, grid string) func() *sat.Solver {
+	b.Helper()
+	f, _ := benchdata.Lookup(name).Function()
+	opt := core.Options{}
+	opt.Encode.Limits.MaxConflicts = 20000
+	res, err := core.Synthesize(f, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !slices.Contains(res.GridsProbed, grid) {
+		b.Fatalf("%s no longer probes %s (probed %v)", name, grid, res.GridsProbed)
+	}
+	var g lattice.Grid
+	if _, err := fmt.Sscanf(grid, "%dx%d", &g.M, &g.N); err != nil {
+		b.Fatal(err)
+	}
+	cnf, _, err := encode.BuildCNF(res.ISOP, res.DualISOP, g, encode.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cnf.SolverFrom
+}
+
+// satRates accumulates solver effort and heap allocations over Solve
+// calls, leaving out the formula's construction.
+type satRates struct {
+	dur              time.Duration
+	props, conflicts int64
+	mallocs          uint64
+}
+
+func (r *satRates) solve(s *sat.Solver, lim sat.Limits) sat.Status {
+	var m0, m1 runtime.MemStats
+	before := s.Stats()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	st := s.Solve(lim)
+	r.dur += time.Since(start)
+	runtime.ReadMemStats(&m1)
+	d := s.Stats().Sub(before)
+	r.props += d.Propagations
+	r.conflicts += d.Conflicts
+	r.mallocs += m1.Mallocs - m0.Mallocs
+	return st
+}
+
+func (r *satRates) report(b *testing.B) {
+	b.ReportMetric(float64(r.props)/r.dur.Seconds(), "props/s")
+	b.ReportMetric(float64(r.conflicts)/r.dur.Seconds(), "conflicts/s")
+	if r.conflicts > 0 {
+		b.ReportMetric(float64(r.mallocs)/float64(r.conflicts), "allocs/conflict")
 	}
 }
 

@@ -119,3 +119,19 @@ func TestWriteSharedCubes(t *testing.T) {
 		t.Fatalf("shared cube not merged:\n%s", text)
 	}
 }
+
+// TestParseLongLine: lines up to the 1 MiB limit still parse, and a line
+// past it is an error rather than a silent truncation.
+func TestParseLongLine(t *testing.T) {
+	long := ".i 3\n.o 1\n# " + strings.Repeat("x", 200000) + "\n1-0 1\n.e\n"
+	f, err := ParseString(long)
+	if err != nil {
+		t.Fatalf("200 000-character line: %v", err)
+	}
+	if len(f.Covers[0].Cubes) != 1 {
+		t.Fatalf("cover has %d cubes, want 1", len(f.Covers[0].Cubes))
+	}
+	if _, err := ParseString(".i 3\n.o 1\n# " + strings.Repeat("x", 1<<20) + "\n.e\n"); err == nil {
+		t.Fatal("a line over 1 MiB parsed; the line limit is gone")
+	}
+}

@@ -4,14 +4,23 @@
 // under a configurable time / conflict budget.
 //
 // Features: two-watched-literal propagation, first-UIP conflict analysis
-// with recursive clause minimization, VSIDS variable activity with phase
-// saving, Luby restarts, and glucose-style learnt-clause database
-// reduction keyed on the literal block distance (LBD).
+// with a simple non-recursive clause minimization (a literal is dropped
+// when every other literal of its reason is already in the clause), VSIDS
+// variable activity with phase saving, Luby restarts, and glucose-style
+// learnt-clause database reduction keyed on the literal block distance
+// (LBD).
+//
+// Every clause lives in one pointer-free arena; watch lists and reasons
+// hold uint32 offsets into it, so propagation reads a clause's header and
+// literals in one contiguous run, the garbage collector never scans the
+// clause store, and conflict analysis allocates nothing.
 package sat
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -148,15 +157,21 @@ type SolveStats struct {
 	Clauses int
 }
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	lbd    int32
-	act    float32
-}
+// cref is a clause reference: the offset of the clause's first header word
+// in Solver.arena. crefUndef means "no clause" (a decision, a unit, no
+// conflict); the arena's first word is padding so no clause starts there.
+//
+// A clause is hdrWords header words followed by its literals: its size,
+// its LBD, and the bits of its float32 activity.
+type cref uint32
+
+const (
+	crefUndef cref = 0
+	hdrWords       = 3
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -164,7 +179,7 @@ type watcher struct {
 // the watched literal is falsified, other must hold.
 type binWatcher struct {
 	other Lit
-	c     *clause
+	c     cref
 }
 
 type lbool int8
@@ -177,15 +192,19 @@ const (
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	nVars      int
-	clauses    []*clause
-	learnts    []*clause
+	nVars int
+	// arena holds every clause (see cref). wasted counts the words of the
+	// clauses removed from it since the last compaction.
+	arena      []Lit
+	wasted     int
+	clauses    []cref
+	learnts    []cref
 	watches    [][]watcher
 	binWatches [][]binWatcher
 
 	assign   []lbool // per literal (2v positive, 2v+1 negative)
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	phase    []bool // saved phases
 	activity []float64
 	varInc   float64
@@ -208,6 +227,13 @@ type Solver struct {
 
 	learntCap int
 
+	// Scratch buffers reused across calls: the normalized literals of
+	// AddClause, and analyze's learnt clause and seen variables. The
+	// learnt clause is copied into the arena, so reusing them is safe.
+	addBuf    []Lit
+	learntBuf []Lit
+	toClear   []int
+
 	// assume holds the current call's assumption literals: assumption i
 	// is decided at decision level i+1 before any branching. finalCore
 	// records, after an Unsat answer under assumptions, the subset of the
@@ -224,7 +250,8 @@ type Solver struct {
 
 // New returns a solver over nVars variables.
 func New(nVars int) *Solver {
-	s := &Solver{varDecay: 0.95, varInc: 1.0, claInc: 1.0, ok: true, learntCap: 8192}
+	s := &Solver{varDecay: 0.95, varInc: 1.0, claInc: 1.0, ok: true, learntCap: 8192,
+		arena: make([]Lit, 1, 1024)}
 	s.grow(nVars)
 	return s
 }
@@ -233,7 +260,7 @@ func (s *Solver) grow(nVars int) {
 	for v := s.nVars; v < nVars; v++ {
 		s.assign = append(s.assign, lUndef, lUndef)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, crefUndef)
 		s.phase = append(s.phase, false)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
@@ -284,6 +311,86 @@ func (s *Solver) EnsureVars(n int) {
 
 func (s *Solver) value(l Lit) lbool { return s.assign[l] }
 
+// lits returns clause c's literals, aliasing the arena: writes reorder the
+// clause in place, and the slice is stale once alloc or compact runs.
+func (s *Solver) lits(c cref) []Lit {
+	i := int(c) + hdrWords
+	return s.arena[i : i+s.size(c)]
+}
+
+func (s *Solver) size(c cref) int { return int(s.arena[c]) }
+
+func (s *Solver) lbd(c cref) int32 { return int32(s.arena[c+1]) }
+
+func (s *Solver) act(c cref) float32 { return math.Float32frombits(uint32(s.arena[c+2])) }
+
+func (s *Solver) setAct(c cref, a float32) { s.arena[c+2] = Lit(math.Float32bits(a)) }
+
+// alloc copies lits into the arena as a new clause with LBD lbd and zero
+// activity, and returns its reference.
+func (s *Solver) alloc(lits []Lit, lbd int32) cref {
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)), Lit(lbd), 0)
+	s.arena = append(s.arena, lits...)
+	return c
+}
+
+// locked reports whether learnt clause c is the reason of its first
+// literal's current assignment, so removing it would break the trail.
+func (s *Solver) locked(c cref) bool {
+	first := s.arena[int(c)+hdrWords]
+	return s.value(first) == lTrue && s.reason[first.Var()] == c
+}
+
+// remove detaches clause c and counts its words as wasted; the caller
+// drops it from its clause list.
+func (s *Solver) remove(c cref) {
+	s.detach(c)
+	s.wasted += hdrWords + s.size(c)
+}
+
+// compactIfWasted compacts the arena once at least half of it is removed
+// clauses.
+func (s *Solver) compactIfWasted() {
+	if 2*s.wasted >= len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses (the problem clauses, then the learnt
+// ones) into a fresh arena and rewrites every reference to them in place.
+// The clause lists, watch lists and reasons keep their order, so the
+// search cannot tell a compaction happened.
+func (s *Solver) compact() {
+	old := s.arena
+	arena := make([]Lit, 1, len(old)-s.wasted)
+	move := func(cs []cref) {
+		for i, c := range cs {
+			n := cref(len(arena))
+			arena = append(arena, old[c:int(c)+hdrWords+int(old[c])]...)
+			old[c+1] = Lit(n) // forwarding address; the LBD is copied already
+			cs[i] = n
+		}
+	}
+	move(s.clauses)
+	move(s.learnts)
+	for p := range s.watches {
+		for i, w := range s.watches[p] {
+			s.watches[p][i].c = cref(old[w.c+1])
+		}
+		for i, w := range s.binWatches[p] {
+			s.binWatches[p][i].c = cref(old[w.c+1])
+		}
+	}
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v] = cref(old[r+1])
+		}
+	}
+	s.arena = arena
+	s.wasted = 0
+}
+
 // ErrAddAfterUnsat is returned when clauses are added to a solver already
 // known to be unsatisfiable.
 var ErrAddAfterUnsat = errors.New("sat: solver is already unsatisfiable")
@@ -305,8 +412,9 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	}
 	s.backtrackTo(0)
 	// Normalize.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -333,31 +441,33 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		s.ok = false
 		return nil
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 		}
 		return nil
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.alloc(out, 0)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return nil
 }
 
-func (s *Solver) attach(c *clause) {
-	if len(c.lits) == 2 {
-		s.binWatches[c.lits[0].Not()] = append(s.binWatches[c.lits[0].Not()], binWatcher{c.lits[1], c})
-		s.binWatches[c.lits[1].Not()] = append(s.binWatches[c.lits[1].Not()], binWatcher{c.lits[0], c})
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	if len(lits) == 2 {
+		s.binWatches[lits[0].Not()] = append(s.binWatches[lits[0].Not()], binWatcher{lits[1], c})
+		s.binWatches[lits[1].Not()] = append(s.binWatches[lits[1].Not()], binWatcher{lits[0], c})
 		return
 	}
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 }
 
-func (s *Solver) detach(c *clause) {
-	if len(c.lits) == 2 {
-		for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	if len(lits) == 2 {
+		for _, w := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 			ws := s.binWatches[w]
 			for i := range ws {
 				if ws[i].c == c {
@@ -369,7 +479,7 @@ func (s *Solver) detach(c *clause) {
 		}
 		return
 	}
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+	for _, w := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[w]
 		for i := range ws {
 			if ws[i].c == c {
@@ -383,7 +493,7 @@ func (s *Solver) detach(c *clause) {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	s.assign[l] = lTrue
 	s.assign[l^1] = lFalse
@@ -392,8 +502,10 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// crefUndef. It allocates no clause, so the arena stays put throughout.
+func (s *Solver) propagate() cref {
+	arena, assign := s.arena, s.assign
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -401,7 +513,7 @@ func (s *Solver) propagate() *clause {
 		notP := p.Not()
 		// Binary clauses first: no watch juggling needed.
 		for _, bw := range s.binWatches[p] {
-			switch s.value(bw.other) {
+			switch assign[bw.other] {
 			case lFalse:
 				s.qhead = len(s.trail)
 				return bw.c
@@ -414,34 +526,35 @@ func (s *Solver) propagate() *clause {
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if assign[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
 			c := w.c
+			lits := arena[int(c)+hdrWords : int(c)+hdrWords+int(arena[c])]
 			// Make sure the falsified literal is lits[1].
-			if c.lits[0] == notP {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == notP {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && assign[first] == lTrue {
 				ws[n] = watcher{c, first}
 				n++
 				continue
 			}
 			// Look for a new watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if assign[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					continue nextWatcher
 				}
 			}
 			// Unit or conflict.
 			ws[n] = watcher{c, first}
 			n++
-			if s.value(first) == lFalse {
+			if assign[first] == lFalse {
 				// Conflict: copy back remaining watchers and bail.
 				for i++; i < len(ws); i++ {
 					ws[n] = ws[i]
@@ -455,7 +568,7 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = ws[:n]
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) varBump(v int) {
@@ -473,11 +586,12 @@ func (s *Solver) varBump(v int) {
 
 func (s *Solver) varDecayActivity() { s.varInc /= s.varDecay }
 
-func (s *Solver) claBump(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e30 {
+func (s *Solver) claBump(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e30 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-30
+			s.setAct(lc, s.act(lc)*1e-30)
 		}
 		s.claInc *= 1e-30
 	}
@@ -505,17 +619,18 @@ func (s *Solver) lbdPrecise(lits []Lit) int32 {
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause is
+// the solver's scratch buffer, valid until the next conflict.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	var toClear []int
+	toClear := s.toClear[:0]
 
 	for {
 		s.claBump(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -559,6 +674,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, v := range toClear {
 		s.seen[v] = false
 	}
+	s.learntBuf, s.toClear = learnt, toClear
 
 	// Backtrack level: max level among learnt[1:], and move that literal to
 	// position 1 for watching.
@@ -596,13 +712,13 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == crefUndef {
 			// A decision below the branching levels is an assumption.
 			if s.level[v] > 0 {
 				core = append(core, s.trail[i])
 			}
 		} else {
-			for _, q := range s.reason[v].lits {
+			for _, q := range s.lits(s.reason[v]) {
 				if q.Var() != v && s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -624,10 +740,10 @@ func (s *Solver) FinalCore() []Lit { return s.finalCore }
 // remaining marked literals (simple non-recursive check on its reason).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == crefUndef {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -649,7 +765,7 @@ func (s *Solver) backtrackTo(level int) {
 		s.phase[v] = s.assign[l&^1] == lTrue
 		s.assign[l] = lUndef
 		s.assign[l^1] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		if s.heapPos[v] < 0 {
 			s.heapInsert(int32(v))
 		}
@@ -735,26 +851,23 @@ func (s *Solver) reduceDB() {
 	s.stats.Reductions++
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if a.lbd != b.lbd {
-			return a.lbd > b.lbd // worst first
+		if la, lb := s.lbd(a), s.lbd(b); la != lb {
+			return la > lb // worst first
 		}
-		return a.act < b.act
+		return s.act(a) < s.act(b)
 	})
 	keepFrom := len(s.learnts) / 2
 	kept := s.learnts[:0]
 	for i, c := range s.learnts {
-		locked := false
-		if s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c {
-			locked = true
-		}
-		if i >= keepFrom || c.lbd <= 3 || len(c.lits) == 2 || locked {
+		if i >= keepFrom || s.lbd(c) <= 3 || s.size(c) == 2 || s.locked(c) {
 			kept = append(kept, c)
 		} else {
-			s.detach(c)
+			s.remove(c)
 			s.stats.Removed++
 		}
 	}
 	s.learnts = kept
+	s.compactIfWasted()
 }
 
 // PruneLearnts detaches every learnt clause whose LBD exceeds maxLBD or
@@ -775,15 +888,16 @@ func (s *Solver) PruneLearnts(maxLBD int32, maxSize int) int {
 	kept := s.learnts[:0]
 	removed := 0
 	for _, c := range s.learnts {
-		locked := s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
-		if locked || len(c.lits) == 2 || (c.lbd <= maxLBD && len(c.lits) <= maxSize) {
+		size := s.size(c)
+		if s.locked(c) || size == 2 || (s.lbd(c) <= maxLBD && size <= maxSize) {
 			kept = append(kept, c)
 		} else {
-			s.detach(c)
+			s.remove(c)
 			removed++
 		}
 	}
 	s.learnts = kept
+	s.compactIfWasted()
 	if removed > 0 {
 		s.stats.Removed += int64(removed)
 		s.stats.Reductions++
@@ -910,7 +1024,7 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 			return Unknown
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -920,14 +1034,14 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.backtrackTo(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				c.lbd = s.lbdPrecise(learnt)
+				lbd := s.lbdPrecise(learnt)
+				c := s.alloc(learnt, lbd)
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnts++
-				s.stats.LBDSum += int64(c.lbd)
-				if b := int(c.lbd); b < LBDBuckets {
+				s.stats.LBDSum += int64(lbd)
+				if b := int(lbd); b < LBDBuckets {
 					s.lbdHist[b]++
 				} else {
 					s.lbdHist[LBDBuckets-1]++
@@ -970,7 +1084,7 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 				return Unsat
 			default:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-				s.uncheckedEnqueue(p, nil)
+				s.uncheckedEnqueue(p, crefUndef)
 			}
 			continue
 		}
@@ -980,7 +1094,7 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), crefUndef)
 	}
 }
 
